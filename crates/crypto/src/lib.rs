@@ -8,12 +8,14 @@
 //! * [`ctr`] — counter-mode encryption: the one-time pad derived from
 //!   `(key, line address, counter)` that the paper's Fig. 1(b) describes.
 //! * [`sha256`] — SHA-256 (FIPS-180-4), used by the Bonsai Merkle tree and
-//!   the cache-tree set-MACs.
+//!   the cache-tree set-MACs; compresses on SHA-NI where the host has it.
 //! * [`siphash`] — SipHash-2-4, the fast keyed hash behind the 54-bit node
 //!   MACs.
 //! * [`mac`] — [`mac::Mac54`], the truncated 54-bit MAC whose 10 spare bits
 //!   STAR reuses for counter-MAC synergization, plus [`mac::MacInput`], a
-//!   canonical serializer for the fields that enter a node/data MAC.
+//!   canonical serializer for the fields that enter a node/data MAC, and
+//!   [`mac::FixedMacInput`], the same serialization into an exact-size
+//!   array for the per-write node and data MACs.
 //!
 //! # Example
 //!
@@ -28,9 +30,11 @@
 //! assert!(mac.as_u64() < (1 << 54));
 //! ```
 
-// Unsafe is denied crate-wide; the single exception is the hardware
-// AES-NI round path in `aes`, which needs `core::arch` intrinsics and
-// carries its own scoped allow plus a runtime feature gate.
+// Unsafe is denied crate-wide. The two exceptions are the hardware
+// kernels — the AES-NI round path in `aes` and the SHA-NI compression in
+// `sha256` — which need `core::arch` intrinsics; each sits in one module
+// with its own scoped allow plus a runtime feature gate, and falls back
+// to the software path on hosts without the feature.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -42,6 +46,6 @@ pub mod siphash;
 
 pub use aes::Aes128;
 pub use ctr::one_time_pad;
-pub use mac::{Mac54, MacInput, MacKey};
+pub use mac::{FixedMacInput, Mac54, MacInput, MacKey};
 pub use sha256::Sha256;
 pub use siphash::SipHash24;

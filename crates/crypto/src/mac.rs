@@ -39,6 +39,7 @@ impl MacKey {
     }
 
     /// Hashes raw bytes under this key.
+    #[inline]
     pub fn hash_bytes(&self, data: &[u8]) -> u64 {
         self.hasher.hash(data)
     }
@@ -56,11 +57,13 @@ pub struct Mac54(u64);
 
 impl Mac54 {
     /// Truncates `value` to 54 bits.
+    #[inline]
     pub fn from_u64(value: u64) -> Self {
         Self(value & MAC54_MASK)
     }
 
     /// The tag value (always `< 2^54`).
+    #[inline]
     pub fn as_u64(self) -> u64 {
         self.0
     }
@@ -87,17 +90,19 @@ impl core::fmt::LowerHex for Mac54 {
 /// let b = MacInput::new().u64(2).u64(1).mac54(&key);
 /// assert_ne!(a, b);
 /// ```
+///
+/// `MacInput` is the general-purpose, by-value builder over a 320-byte
+/// buffer. Hot callers whose field set has a fixed
+/// size use [`FixedMacInput`] instead, which writes the same byte stream
+/// into an array of exactly that size.
 #[derive(Clone)]
-pub struct MacInput {
-    len: usize,
-    buf: [u8; MAC_INPUT_CAP],
-}
+pub struct MacInput(FixedMacInput<MAC_INPUT_CAP>);
 
-/// Inline serialization capacity: MAC inputs are built on the engine's
-/// per-write path, so the builder keeps its bytes on the stack instead
-/// of heap-allocating. The largest real input is a node MAC (~109
-/// bytes); tests feed data fields up to 256 bytes (tag + length + data
-/// = 265), and the capacity leaves headroom above that.
+/// Inline serialization capacity of [`MacInput`]: MAC inputs are built on
+/// the engine's per-write path, so the builder keeps its bytes on the
+/// stack instead of heap-allocating. The largest real input is a node MAC
+/// (109 bytes); tests feed data fields up to 256 bytes (tag + length +
+/// data = 265), and the capacity leaves headroom above that.
 const MAC_INPUT_CAP: usize = 320;
 
 impl Default for MacInput {
@@ -108,16 +113,89 @@ impl Default for MacInput {
 
 impl core::fmt::Debug for MacInput {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("MacInput").field("len", &self.len).finish()
+        f.debug_struct("MacInput")
+            .field("len", &self.0.len)
+            .finish()
     }
 }
 
 impl MacInput {
     /// Creates an empty input.
+    #[inline]
+    pub fn new() -> Self {
+        Self(FixedMacInput::new())
+    }
+
+    /// Appends a 64-bit field.
+    #[inline]
+    pub fn u64(mut self, value: u64) -> Self {
+        self.0.u64(value);
+        self
+    }
+
+    /// Appends a byte-string field (length-prefixed).
+    #[inline]
+    pub fn bytes(mut self, data: &[u8]) -> Self {
+        self.0.bytes(data);
+        self
+    }
+
+    /// Appends a slice of 64-bit fields (e.g. the eight counters of a node).
+    #[inline]
+    pub fn u64s(mut self, values: &[u64]) -> Self {
+        self.0.u64s(values);
+        self
+    }
+
+    /// Finalizes into a full 64-bit hash.
+    #[inline]
+    pub fn hash64(&self, key: &MacKey) -> u64 {
+        self.0.hash64(key)
+    }
+
+    /// Finalizes into a 54-bit MAC.
+    #[inline]
+    pub fn mac54(&self, key: &MacKey) -> Mac54 {
+        self.0.mac54(key)
+    }
+}
+
+/// The [`MacInput`] serialization over a stack array of `N` bytes,
+/// filled in place through `&mut self`.
+///
+/// A caller whose field set always serializes to the same length sizes
+/// `N` to exactly that length, so each MAC touches `N` bytes rather than
+/// the 320 of a [`MacInput`], and nothing is moved by value between
+/// fields. The byte stream — hence every MAC — is the one [`MacInput`]
+/// produces for the same fields.
+///
+/// ```
+/// use star_crypto::mac::{FixedMacInput, MacInput, MacKey};
+/// let key = MacKey::from_seed(1);
+/// let mut fixed = FixedMacInput::<18>::new();
+/// fixed.u64(1);
+/// fixed.u64(2);
+/// assert_eq!(fixed.mac54(&key), MacInput::new().u64(1).u64(2).mac54(&key));
+/// ```
+#[derive(Clone)]
+pub struct FixedMacInput<const N: usize> {
+    len: usize,
+    buf: [u8; N],
+}
+
+impl<const N: usize> Default for FixedMacInput<N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const N: usize> FixedMacInput<N> {
+    /// Creates an empty input.
+    #[inline]
     pub fn new() -> Self {
         Self {
             len: 0,
-            buf: [0; MAC_INPUT_CAP],
+            buf: [0; N],
         }
     }
 
@@ -125,52 +203,60 @@ impl MacInput {
     ///
     /// # Panics
     ///
-    /// Panics if the input exceeds [`MAC_INPUT_CAP`] — every caller
-    /// serializes a bounded field set, so overflow is a programming
-    /// error, not a runtime condition.
+    /// Panics if the input exceeds `N` bytes — every caller serializes a
+    /// bounded field set, so overflow is a programming error, not a
+    /// runtime condition.
+    #[inline]
     fn push(&mut self, bytes: &[u8]) {
         let end = self.len + bytes.len();
         assert!(
-            end <= MAC_INPUT_CAP,
-            "MAC input overflow: {end} bytes exceeds the {MAC_INPUT_CAP}-byte \
-             inline capacity — raise MAC_INPUT_CAP"
+            end <= N,
+            "MAC input overflow: {end} bytes exceeds the {N}-byte inline capacity"
         );
         self.buf[self.len..end].copy_from_slice(bytes);
         self.len = end;
     }
 
     /// Appends a 64-bit field.
-    pub fn u64(mut self, value: u64) -> Self {
+    #[inline]
+    pub fn u64(&mut self, value: u64) {
         self.push(&[0x01]);
         self.push(&value.to_le_bytes());
-        self
     }
 
     /// Appends a byte-string field (length-prefixed).
-    pub fn bytes(mut self, data: &[u8]) -> Self {
+    #[inline]
+    pub fn bytes(&mut self, data: &[u8]) {
         self.push(&[0x02]);
         self.push(&(data.len() as u64).to_le_bytes());
         self.push(data);
-        self
     }
 
     /// Appends a slice of 64-bit fields (e.g. the eight counters of a node).
-    pub fn u64s(mut self, values: &[u64]) -> Self {
+    #[inline]
+    pub fn u64s(&mut self, values: &[u64]) {
         self.push(&[0x03]);
         self.push(&(values.len() as u64).to_le_bytes());
         for v in values {
             self.push(&v.to_le_bytes());
         }
-        self
+    }
+
+    /// The bytes serialized so far.
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
     }
 
     /// Finalizes into a full 64-bit hash.
+    #[inline]
     pub fn hash64(&self, key: &MacKey) -> u64 {
         star_scope::span!("crypto/mac");
-        key.hash_bytes(&self.buf[..self.len])
+        key.hash_bytes(self.as_bytes())
     }
 
     /// Finalizes into a 54-bit MAC.
+    #[inline]
     pub fn mac54(&self, key: &MacKey) -> Mac54 {
         Mac54::from_u64(self.hash64(key))
     }

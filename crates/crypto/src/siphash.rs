@@ -40,11 +40,13 @@ fn sip_round(v: &mut [u64; 4]) {
 
 impl SipHash24 {
     /// Creates a hasher from the two 64-bit key halves.
+    #[inline]
     pub fn new(k0: u64, k1: u64) -> Self {
         Self { k0, k1 }
     }
 
     /// Hashes `data` to a 64-bit value.
+    #[inline]
     pub fn hash(&self, data: &[u8]) -> u64 {
         let mut v = [
             self.k0 ^ 0x736f_6d65_7073_6575,
@@ -61,11 +63,12 @@ impl SipHash24 {
             v[0] ^= m;
         }
         // Final block: remaining bytes plus the length in the top byte.
-        let rem = chunks.remainder();
-        let mut last = [0u8; 8];
-        last[..rem.len()].copy_from_slice(rem);
-        last[7] = data.len() as u8;
-        let m = u64::from_le_bytes(last);
+        // Assembled by shifts: a copy into a byte array would be a libc
+        // `memcpy` call on every hash for at most seven bytes.
+        let mut m = (data.len() as u64) << 56;
+        for (i, &b) in chunks.remainder().iter().enumerate() {
+            m |= u64::from(b) << (8 * i);
+        }
         v[3] ^= m;
         sip_round(&mut v);
         sip_round(&mut v);

@@ -13,7 +13,16 @@
 //! Triad-NVM-style recovery and motivates STAR.
 
 use crate::node::Node64;
-use star_crypto::mac::{Mac54, MacInput, MacKey};
+use star_crypto::mac::{FixedMacInput, Mac54, MacKey};
+
+/// Serialized length of a node MAC input: the domain tag and address
+/// (9 bytes each), the counter list (tag, length, eight words), then the
+/// parent counter and the LSBs (9 bytes each).
+const NODE_MAC_INPUT_LEN: usize = 9 + 9 + (1 + 8 + 8 * 8) + 9 + 9;
+
+/// Serialized length of a data MAC input: as a node's, with the 56-byte
+/// payload (tag, length, bytes) in place of the counter list.
+const DATA_MAC_INPUT_LEN: usize = 9 + 9 + (1 + 8 + 56) + 9 + 9;
 
 /// The keyed MAC functions of the SIT, bound to one processor key.
 #[derive(Debug, Clone, Copy)]
@@ -45,13 +54,14 @@ impl SitMac {
         parent_counter: u64,
         lsb10: u16,
     ) -> Mac54 {
-        MacInput::new()
-            .u64(0x4e4f4445) // domain tag "NODE"
-            .u64(line_addr)
-            .u64s(counters)
-            .u64(parent_counter)
-            .u64(u64::from(lsb10))
-            .mac54(&self.key)
+        let mut input = FixedMacInput::<NODE_MAC_INPUT_LEN>::new();
+        input.u64(0x4e4f4445); // domain tag "NODE"
+        input.u64(line_addr);
+        input.u64s(counters);
+        input.u64(parent_counter);
+        input.u64(u64::from(lsb10));
+        debug_assert_eq!(input.as_bytes().len(), NODE_MAC_INPUT_LEN);
+        input.mac54(&self.key)
     }
 
     /// MAC of a node given directly (counters read from the node).
@@ -82,13 +92,14 @@ impl SitMac {
         parent_counter: u64,
         lsb10: u16,
     ) -> Mac54 {
-        MacInput::new()
-            .u64(0x44415441) // domain tag "DATA"
-            .u64(line_addr)
-            .bytes(payload)
-            .u64(parent_counter)
-            .u64(u64::from(lsb10))
-            .mac54(&self.key)
+        let mut input = FixedMacInput::<DATA_MAC_INPUT_LEN>::new();
+        input.u64(0x44415441); // domain tag "DATA"
+        input.u64(line_addr);
+        input.bytes(payload);
+        input.u64(parent_counter);
+        input.u64(u64::from(lsb10));
+        debug_assert_eq!(input.as_bytes().len(), DATA_MAC_INPUT_LEN);
+        input.mac54(&self.key)
     }
 
     /// Verifies a data line's stored MAC.
@@ -107,6 +118,8 @@ impl SitMac {
 mod tests {
     use super::*;
     use crate::node::MacField;
+    use star_crypto::mac::MacInput;
+    use star_rng::SimRng;
 
     fn engine() -> SitMac {
         SitMac::from_seed(42)
@@ -184,5 +197,78 @@ mod tests {
             e.data_mac(0, &payload, 0, 0),
             "a zero node must not collide with zero data"
         );
+    }
+
+    /// The node MAC built through the general [`MacInput`] builder — the
+    /// serialization the fixed layout must reproduce byte for byte.
+    fn node_mac_via_builder(
+        key: &MacKey,
+        line_addr: u64,
+        counters: &[u64; 8],
+        parent_counter: u64,
+        lsb10: u16,
+    ) -> Mac54 {
+        MacInput::new()
+            .u64(0x4e4f4445)
+            .u64(line_addr)
+            .u64s(counters)
+            .u64(parent_counter)
+            .u64(u64::from(lsb10))
+            .mac54(key)
+    }
+
+    fn data_mac_via_builder(
+        key: &MacKey,
+        line_addr: u64,
+        payload: &[u8; 56],
+        parent_counter: u64,
+        lsb10: u16,
+    ) -> Mac54 {
+        MacInput::new()
+            .u64(0x44415441)
+            .u64(line_addr)
+            .bytes(payload)
+            .u64(parent_counter)
+            .u64(u64::from(lsb10))
+            .mac54(key)
+    }
+
+    /// The fixed-layout node and data MACs equal the builder-built MACs on
+    /// seeded random fields, the LSB extremes 0 and 1023, and all-ones
+    /// counters.
+    #[test]
+    fn fixed_layout_macs_match_the_builder() {
+        let mut rng = SimRng::seed_from_u64(0x7369_745f_6669_7864);
+        for case in 0..512 {
+            let key = MacKey::from_seed(rng.gen_u64());
+            let e = SitMac::new(key);
+            let line_addr = rng.gen_u64();
+            let parent_counter = if case % 7 == 0 {
+                u64::MAX
+            } else {
+                rng.gen_u64()
+            };
+            let lsb10 = match case % 4 {
+                0 => 0,
+                1 => 1023,
+                _ => rng.gen_range(0..1024) as u16,
+            };
+            let counters: [u64; 8] = if case % 5 == 0 {
+                [u64::MAX; 8]
+            } else {
+                core::array::from_fn(|_| rng.gen_u64())
+            };
+            let payload: [u8; 56] = core::array::from_fn(|_| rng.gen_u8());
+            assert_eq!(
+                e.node_mac(line_addr, &counters, parent_counter, lsb10),
+                node_mac_via_builder(&key, line_addr, &counters, parent_counter, lsb10),
+                "node MAC, case {case}"
+            );
+            assert_eq!(
+                e.data_mac(line_addr, &payload, parent_counter, lsb10),
+                data_mac_via_builder(&key, line_addr, &payload, parent_counter, lsb10),
+                "data MAC, case {case}"
+            );
+        }
     }
 }

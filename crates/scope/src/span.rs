@@ -154,13 +154,10 @@ impl SpanGuard {
             .is_ok();
         SpanGuard { armed: ok }
     }
-}
 
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
+    /// Pops this thread's innermost frame and records it.
+    #[cold]
+    fn exit_slow() {
         let (allocs_now, bytes_now) = alloc::thread_totals();
         let _ = LOCAL.try_with(|l| {
             let mut l = l.borrow_mut();
@@ -193,6 +190,17 @@ impl Drop for SpanGuard {
                 parent.child_bytes += bytes_in;
             }
         });
+    }
+}
+
+impl Drop for SpanGuard {
+    /// Closing an inert guard is one inlined branch; only an armed guard
+    /// pays the call into the recording path.
+    #[inline]
+    fn drop(&mut self) {
+        if self.armed {
+            Self::exit_slow();
+        }
     }
 }
 
