@@ -190,8 +190,8 @@ impl ShardedMemory {
     /// shard untouched — the per-shard fault model sharding buys.
     ///
     /// The crash image is taken from a [`SecureMemory::fork`] of the
-    /// shard (an `O(dirty-delta)` copy-on-write snapshot), recovery runs
-    /// on the image, and the shard reboots from it via
+    /// shard (a copy-on-write snapshot sharing every NVM page),
+    /// recovery runs on the image, and the shard reboots from it via
     /// [`SecureMemory::resume_from_image`]. The rebooted engine's
     /// counters start cold; the statistics accumulated before the crash
     /// come back in the returned [`ShardCrashOutcome::pre_crash`].

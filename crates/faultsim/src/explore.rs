@@ -7,8 +7,8 @@
 //!
 //! * [`ExploreStrategy::Fork`] (the default) executes the workload
 //!   **once**, keeps one rolling machine checkpoint (an
-//!   `engine.fork()` + `workload.fork_box()` pair, O(dirty-delta) via
-//!   the copy-on-write line store), and at each chosen persist point
+//!   `engine.fork()` + `workload.fork_box()` pair that shares every
+//!   NVM page copy-on-write), and at each chosen persist point
 //!   re-steps a forked checkpoint with the crash armed. Only the crash,
 //!   recovery and readback run per case.
 //! * [`ExploreStrategy::Replay`] replays the run from scratch once per
@@ -329,8 +329,8 @@ impl CrashExplorer {
         for op in 0..self.ops {
             let want_more = wanted.is_none_or(|w| next < w.len());
             // One rolling checkpoint per step that might commit a wanted
-            // point: the freeze inside fork() is O(lines dirtied since
-            // the last freeze) and the clone shares every frozen layer.
+            // point: fork() copies one pointer per resident NVM page and
+            // shares every page until one side writes it.
             // With a `commit_ops` hint (from a schedule pre-pass), ops
             // known to commit nothing skip the checkpoint entirely.
             let mut checkpoint = if want_more && commit_ops.is_none_or(|s| s.contains(&op)) {

@@ -210,14 +210,14 @@ impl NvmDevice {
 
     /// Returns an independent copy-on-write fork of the device.
     ///
-    /// The backing [`LineStore`] is frozen and shared structurally (see
-    /// [`LineStore::fork`]); every other field — bank state, write queue,
-    /// stats, wear, profiler, journal, trace buffer — is small and cloned
-    /// outright, so the fork costs `O(dirty-delta)` in line copies rather
-    /// than `O(footprint)`.
+    /// The backing [`LineStore`] and the [`WearTracker`] share their
+    /// pages with the fork: the fork copies one pointer per resident
+    /// page and no lines or counters, and a page is copied only when
+    /// one side first writes it. Bank state, the write queue, stats,
+    /// profiler, journal and trace buffer are bounded and cloned
+    /// outright.
     pub fn fork(&mut self) -> Self {
         star_scope::span!("nvm/fork");
-        self.store.freeze();
         self.clone()
     }
 
