@@ -25,8 +25,8 @@ use crate::sweepbench::SweepBench;
 use star_core::report::{json_f64, json_str, schema_preamble, SCHEMA_VERSION};
 use star_core::triad::{TriadConfig, TriadMemory};
 use star_core::SchemeKind;
-use star_prof::JsonValue;
 use star_sweep::{run_merged, SweepKey};
+use star_trace::json::JsonValue;
 use star_workloads::WorkloadKind;
 use std::fmt::Write as _;
 

@@ -14,8 +14,8 @@
 
 use crate::baseline::{run_baseline, BaselineConfig, BaselineReport};
 use star_core::report::{json_f64, json_str};
-use star_prof::JsonValue;
 use star_scope::ProfileReport;
+use star_trace::json::JsonValue;
 use std::fmt::Write as _;
 use std::time::Instant;
 

@@ -9,7 +9,7 @@
 use star_core::report::{json_str, schema_preamble};
 use star_core::{SecureMemConfig, SecureMemConfigBuilder};
 use star_mem::{MemEvent, TraceSink};
-use star_prof::JsonValue;
+use star_trace::json::JsonValue;
 use star_workloads::Workload;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -91,12 +91,6 @@ pub enum CrashSpec {
     /// point).
     At(u64),
 }
-
-/// Renamed: the engine-side typed plan is now
-/// [`star_core::CrashPlan`]; the program-level specification is
-/// [`CrashSpec`].
-#[deprecated(since = "0.7.0", note = "renamed to `CrashSpec`")]
-pub type CrashPlan = CrashSpec;
 
 /// A self-contained check program: geometry, operations, crash plan.
 #[derive(Debug, Clone, PartialEq)]

@@ -25,7 +25,7 @@
 
 use crate::anubis::{StEntry, StSlotMap};
 use crate::config::{ConfigError, SchemeKind, SecureMemConfig};
-use crate::persist::{CrashPlan, CrashRequested, FaultKind, PersistPoint, PersistPointKind};
+use crate::persist::{CrashPlan, CrashRequested, PersistPoint, PersistPointKind};
 use crate::recovery::CrashImage;
 use crate::star::bitmap::{BitmapLayout, BitmapStats, MultiLayerBitmap};
 use crate::star::cache_tree;
@@ -319,27 +319,17 @@ impl SecureMemory {
     /// raises a [`crate::persist::CrashRequested`] panic that a fault
     /// driver catches with `catch_unwind` before calling
     /// [`SecureMemory::crash`] on the engine it kept outside the closure.
-    /// The plan's optional [`FaultKind`] travels with the engine and can
-    /// be read back via [`SecureMemory::armed_plan`], so drivers no
-    /// longer carry the fault through a side channel.
+    /// The plan's optional [`FaultKind`](crate::persist::FaultKind)
+    /// travels with the engine and can be read back via
+    /// [`SecureMemory::armed_plan`], so drivers no longer carry the fault
+    /// through a side channel.
     pub fn arm(&mut self, plan: CrashPlan) {
         self.crash_plan = Some(plan);
-    }
-
-    /// Arms a clean crash at persist point `seq` (1-based).
-    #[deprecated(since = "0.7.0", note = "use `arm(CrashPlan::at(seq))` instead")]
-    pub fn arm_crash_at(&mut self, seq: u64) {
-        self.arm(CrashPlan::at(seq));
     }
 
     /// The currently armed crash plan, if any.
     pub fn armed_plan(&self) -> Option<CrashPlan> {
         self.crash_plan
-    }
-
-    /// The medium fault of the armed crash plan, if any.
-    pub fn armed_fault(&self) -> Option<FaultKind> {
-        self.crash_plan.and_then(|p| p.fault)
     }
 
     /// Disarms a previously armed crash plan.

@@ -15,7 +15,7 @@
 //! * log them ([`enable_persist_log`](crate::SecureMemory::enable_persist_log))
 //!   so a schedule explorer learns the schedule of a
 //!   (workload, scheme, seed) run, and
-//! * crash at point *k* ([`arm_crash_at`](crate::SecureMemory::arm_crash_at))
+//! * crash at point *k* ([`arm(CrashPlan::at(k))`](crate::SecureMemory::arm))
 //!   by raising a typed panic ([`CrashRequested`]) the `star-faultsim`
 //!   driver catches with `catch_unwind` before snapshotting the
 //!   [`CrashImage`](crate::recovery::CrashImage).
@@ -151,8 +151,8 @@ impl core::fmt::Display for FaultKind {
 /// number, 1-based) and optionally *what else* the failure does to the
 /// medium at that moment.
 ///
-/// Replaces the raw `arm_crash_at(u64)` call: the plan travels as one
-/// value through [`SecureMemory::arm`](crate::SecureMemory::arm) and
+/// The plan travels as one value through
+/// [`SecureMemory::arm`](crate::SecureMemory::arm) and
 /// [`TriadMemory::arm`](crate::triad::TriadMemory::arm), and fault
 /// drivers read the armed fault back from the caught engine instead of
 /// carrying it through a side channel.

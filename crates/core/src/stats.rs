@@ -214,4 +214,53 @@ mod tests {
         assert_eq!(r.extra_writes(), 2);
         assert!((r.dirty_fraction() - 0.75).abs() < 1e-9);
     }
+
+    /// Independently built engines, each driven with its own strided
+    /// write stream (the lanes of a sharded run).
+    fn lane_reports(lanes: u64, ops: u64, stride: u64) -> Vec<RunReport> {
+        use crate::{SecureMemConfig, SecureMemory};
+        (0..lanes)
+            .map(|lane| {
+                let mut m = SecureMemory::new(SchemeKind::Star, SecureMemConfig::small());
+                let lines = m.config().data_lines;
+                for i in 0..ops {
+                    let line = (i * stride + lane) % lines;
+                    m.write_data(line, i);
+                    m.persist_data(line);
+                }
+                m.fence();
+                m.report()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merged_report_sums_shard_traffic() {
+        let per = lane_reports(4, 100, 37);
+        let merged = merge_reports(&per);
+        assert_eq!(
+            merged.total_writes(),
+            per.iter().map(|r| r.total_writes()).sum::<u64>()
+        );
+        assert_eq!(
+            merged.instructions,
+            per.iter().map(|r| r.instructions).sum::<u64>()
+        );
+        assert_eq!(
+            merged.energy_pj(),
+            per.iter().map(|r| r.energy_pj()).sum::<u64>()
+        );
+    }
+
+    /// Merging is grouping-independent: fold all four at once, or fold
+    /// two pairs and then the pair of pairs — same bytes.
+    #[test]
+    fn merge_is_associative_over_groupings() {
+        let r = lane_reports(4, 125, 101);
+        let flat = merge_reports(&r);
+        let left = merge_reports(&r[..2]);
+        let right = merge_reports(&r[2..]);
+        let paired = merge_reports(&[left, right]);
+        assert_eq!(flat.to_json(), paired.to_json());
+    }
 }

@@ -303,18 +303,12 @@ impl CrashExplorer {
             wanted.windows(2).all(|w| w[0] < w[1]),
             "wanted points must be sorted and distinct"
         );
-        self.capture_impl(Some(wanted), None)
-    }
-
-    /// [`capture`](Self::capture) at **every** persist point of the run,
-    /// without needing the schedule in advance (a single execution).
-    pub fn capture_all(&self) -> (Vec<PersistPoint>, Vec<ForkPoint>) {
-        self.capture_impl(None, None)
+        self.capture_impl(wanted, None)
     }
 
     fn capture_impl(
         &self,
-        wanted: Option<&[u64]>,
+        wanted: &[u64],
         commit_ops: Option<&BTreeSet<usize>>,
     ) -> (Vec<PersistPoint>, Vec<ForkPoint>) {
         install_panic_filter();
@@ -327,7 +321,7 @@ impl CrashExplorer {
         let mut forks: Vec<ForkPoint> = Vec::new();
         let mut next = 0usize; // cursor into `wanted`
         for op in 0..self.ops {
-            let want_more = wanted.is_none_or(|w| next < w.len());
+            let want_more = next < wanted.len();
             // One rolling checkpoint per step that might commit a wanted
             // point: fork() copies one pointer per resident NVM page and
             // shares every page until one side writes it.
@@ -338,31 +332,21 @@ impl CrashExplorer {
             } else {
                 None
             };
-            let before = engine.persist_points();
             workload.step(&mut engine);
             let after = engine.persist_points();
             let Some((ck_engine, ck_workload)) = checkpoint.as_mut() else {
                 debug_assert!(
-                    !want_more
-                        || wanted
-                            .and_then(|w| w.get(next))
-                            .is_none_or(|&seq| seq > after),
+                    wanted.get(next).is_none_or(|&seq| seq > after),
                     "commit-op hint must cover every op that commits a wanted point"
                 );
                 continue;
             };
-            let targets: Vec<u64> = match wanted {
-                Some(w) => {
-                    let t: Vec<u64> = w[next..]
-                        .iter()
-                        .copied()
-                        .take_while(|&s| s <= after)
-                        .collect();
-                    next += t.len();
-                    t
-                }
-                None => (before + 1..=after).collect(),
-            };
+            let targets: Vec<u64> = wanted[next..]
+                .iter()
+                .copied()
+                .take_while(|&s| s <= after)
+                .collect();
+            next += targets.len();
             for seq in targets {
                 let mut fork = ck_engine.fork();
                 let mut steps = ck_workload.fork_box();
@@ -390,7 +374,7 @@ impl CrashExplorer {
             // a *truncated* schedule from tripping over whatever cut the
             // schedule short — e.g. a shrink candidate whose later read
             // fails verification).
-            if wanted.is_some_and(|w| next >= w.len()) {
+            if next >= wanted.len() {
                 break;
             }
         }
@@ -537,7 +521,7 @@ impl CrashExplorer {
             .iter()
             .map(|&seq| op_of_point[(seq - 1) as usize])
             .collect();
-        let (_, forks) = self.capture_impl(Some(&points), Some(&commit_ops));
+        let (_, forks) = self.capture_impl(&points, Some(&commit_ops));
         let jobs: Vec<(SweepKey, ForkPoint)> = forks
             .into_iter()
             .map(|point| (self.key(point.crash.seq), point))
@@ -565,134 +549,6 @@ impl CrashExplorer {
             cases,
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Deprecated pre-CrashExplorer surface, kept as thin forwarding shims.
-// ---------------------------------------------------------------------
-
-#[allow(deprecated)]
-use crate::SimSetup;
-
-/// What to explore and how hard.
-#[deprecated(since = "0.7.0", note = "use `CrashExplorer` instead")]
-#[allow(deprecated)]
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExplorePlan {
-    /// The run under test.
-    pub setup: SimSetup,
-    /// Fault injected at every explored point.
-    pub fault: FaultKind,
-    /// Force crashing on every persist point regardless of `max_cases`.
-    pub exhaustive: bool,
-    /// Case budget when not exhaustive; schedules at most this long are
-    /// swept exhaustively anyway.
-    pub max_cases: usize,
-    /// Seed for sampling points from over-budget schedules (independent
-    /// of the workload seed so the two can be varied separately).
-    pub sample_seed: u64,
-    /// Worker threads replaying cases (1 = serial; any value produces a
-    /// byte-identical report, see `star_sweep`'s determinism contract).
-    pub threads: usize,
-}
-
-#[allow(deprecated)]
-impl ExplorePlan {
-    /// A clean-crash plan with the default sampling budget, serial.
-    pub fn new(setup: SimSetup) -> Self {
-        Self {
-            setup,
-            fault: FaultKind::CrashOnly,
-            exhaustive: false,
-            max_cases: 256,
-            sample_seed: 1,
-            threads: 1,
-        }
-    }
-
-    /// Same plan with a different fault.
-    pub fn with_fault(mut self, fault: FaultKind) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Same plan, forced exhaustive.
-    pub fn all_points(mut self) -> Self {
-        self.exhaustive = true;
-        self
-    }
-
-    /// Same plan, replaying cases on `threads` workers.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    fn explorer(&self) -> CrashExplorer {
-        CrashExplorer::from(&self.setup)
-            .with_fault(self.fault)
-            .with_max_cases(self.max_cases)
-            .with_sample_seed(self.sample_seed)
-            .with_threads(self.threads)
-            .with_strategy(ExploreStrategy::Replay)
-    }
-}
-
-#[allow(deprecated)]
-impl From<&SimSetup> for CrashExplorer {
-    fn from(setup: &SimSetup) -> Self {
-        CrashExplorer::new(setup.scheme, setup.workload, setup.ops, setup.seed)
-            .with_config(setup.cfg.clone())
-    }
-}
-
-/// Runs `setup` to completion with instrumentation on and no crash
-/// armed, returning the full persist schedule.
-#[deprecated(since = "0.7.0", note = "use `CrashExplorer::schedule` instead")]
-#[allow(deprecated)]
-pub fn persist_schedule(setup: &SimSetup) -> Vec<PersistPoint> {
-    CrashExplorer::from(setup).schedule()
-}
-
-/// Which schedule points a plan will crash on.
-#[deprecated(since = "0.7.0", note = "use `CrashExplorer::chosen_points` instead")]
-#[allow(deprecated)]
-pub fn chosen_points(plan: &ExplorePlan, total_points: u64) -> Vec<u64> {
-    let mut explorer = plan.explorer();
-    if plan.exhaustive {
-        explorer = explorer.all_points();
-    }
-    explorer.chosen_points(total_points)
-}
-
-/// Explores the plan with the replay strategy (the pre-fork behavior).
-#[deprecated(since = "0.7.0", note = "use `CrashExplorer::explore` instead")]
-#[allow(deprecated)]
-pub fn explore(plan: &ExplorePlan) -> ExploreReport {
-    let mut explorer = plan.explorer();
-    if plan.exhaustive {
-        explorer = explorer.all_points();
-    }
-    explorer.explore()
-}
-
-/// Replays `setup` with a crash armed at `case.crash_at` and classifies
-/// the outcome.
-#[deprecated(since = "0.7.0", note = "use `CrashExplorer::run_case` instead")]
-#[allow(deprecated)]
-pub fn run_case(setup: &SimSetup, case: &FaultCase) -> CaseResult {
-    CrashExplorer::from(setup).run_case(case)
-}
-
-/// [`run_case`] with tracing.
-#[deprecated(since = "0.7.0", note = "use `CrashExplorer::run_case_traced` instead")]
-#[allow(deprecated)]
-pub fn run_case_traced(
-    setup: &SimSetup,
-    case: &FaultCase,
-    mask: CatMask,
-) -> (CaseResult, CaseTrace) {
-    CrashExplorer::from(setup).run_case_traced(case, mask)
 }
 
 #[cfg(test)]
@@ -771,14 +627,5 @@ mod tests {
         let total = explorer.schedule().len() as u64;
         let (_, forks) = explorer.capture(&[1, total + 500]);
         assert_eq!(forks.len(), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_forward_to_the_explorer() {
-        let setup = SimSetup::new(SchemeKind::Star, WorkloadKind::Array, 24, 3);
-        assert_eq!(persist_schedule(&setup), tiny().schedule());
-        let plan = ExplorePlan::new(setup);
-        assert_eq!(chosen_points(&plan, 40), (1..=40).collect::<Vec<u64>>());
     }
 }

@@ -341,14 +341,6 @@ impl<V: Default> SetAssocCache<V> {
         self.iter().filter(|&(_, d, _)| d).count()
     }
 
-    /// Addresses of all dirty resident lines.
-    pub fn dirty_addrs(&self) -> Vec<u64> {
-        self.iter()
-            .filter(|&(_, d, _)| d)
-            .map(|(a, _, _)| a)
-            .collect()
-    }
-
     /// Removes every line, returning `(addr, dirty, value)` triples.
     pub fn drain_all(&mut self) -> Vec<(u64, bool, V)> {
         let mut out = Vec::with_capacity(self.len());

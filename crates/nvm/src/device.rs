@@ -157,11 +157,6 @@ impl NvmDevice {
         &mut self.trace
     }
 
-    /// Writes currently occupying write-pending-queue slots.
-    pub fn write_queue_depth(&self) -> usize {
-        self.inflight_writes.len()
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &NvmStats {
         &self.stats

@@ -16,17 +16,16 @@
 //! matrix is what lets a report say which category moved.
 //!
 //! The crate is dependency-free (only `star-trace`, itself
-//! dependency-free, for the shared [`star_trace::Log2Hist`] and JSON encoders) and
-//! also hosts the minimal JSON *parser* ([`jsonv::JsonValue`]) used by the
-//! `star-bench baseline --check` regression gate.
+//! dependency-free, for the shared [`star_trace::Log2Hist`] and JSON
+//! encoders). JSON parsing lives in [`star_trace::json`]; the parser
+//! types are re-exported here for existing `star_prof::JsonValue` users.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cause;
-pub mod jsonv;
 pub mod profiler;
 
 pub use cause::WriteCause;
-pub use jsonv::{JsonParseError, JsonValue};
 pub use profiler::{ProfSummary, WriteProfiler};
+pub use star_trace::json::{JsonParseError, JsonValue};

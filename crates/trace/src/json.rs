@@ -1,9 +1,19 @@
-//! Dependency-free deterministic JSON encoders.
+//! The one module that knows the JSON format: dependency-free,
+//! deterministic encoders and the matching minimal parser.
 //!
-//! These are the single implementation behind every JSON report and
-//! trace export in the workspace; `star_core::report` re-exports them
-//! so report code keeps one import path. Output is byte-stable: strings
-//! escape a fixed set, floats use Rust's shortest round-trip `Display`.
+//! The encoders are the single implementation behind every JSON report
+//! and trace export in the workspace; `star_core::report` re-exports
+//! them so report code keeps one import path. Output is byte-stable:
+//! strings escape a fixed set, floats use Rust's shortest round-trip
+//! `Display`.
+//!
+//! The parser ([`JsonValue::parse`]) reads JSON from outside the
+//! program — `star-bench baseline --check` baselines, `star-bench check
+//! --repro` programs — and the schema round-trip tests. It accepts
+//! exactly standard JSON (objects, arrays, strings with escapes,
+//! numbers, booleans, null), keeps object members in document order,
+//! and rejects input nested deeper than [`MAX_DEPTH`] with an error
+//! instead of exhausting the stack.
 
 use std::fmt::Write as _;
 
@@ -40,6 +50,313 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. Every
+/// report this workspace writes nests fewer than ten levels; the bound
+/// turns hostile input (a million `[`) into an error, not a stack
+/// overflow.
+pub const MAX_DEPTH: usize = 128;
+
+/// A parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonValue {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number (parsed as `f64`; all our integers fit exactly
+    /// well past any counter this simulator produces in practice).
+    Num(f64),
+    /// A string, unescaped.
+    Str(String),
+    /// An array.
+    Arr(Vec<JsonValue>),
+    /// An object, members in document order.
+    Obj(Vec<(String, JsonValue)>),
+}
+
+/// A parse failure: what was wrong and the byte offset it was found at.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonParseError {
+    /// Human-readable description of the problem.
+    pub message: String,
+    /// Byte offset into the input.
+    pub at: usize,
+}
+
+impl core::fmt::Display for JsonParseError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "JSON parse error at byte {}: {}", self.at, self.message)
+    }
+}
+
+impl std::error::Error for JsonParseError {}
+
+impl JsonValue {
+    /// Parses `input` as one JSON document (trailing whitespace allowed,
+    /// trailing garbage rejected).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first syntax error with its byte offset.
+    pub fn parse(input: &str) -> Result<JsonValue, JsonParseError> {
+        let mut p = Parser {
+            text: input,
+            bytes: input.as_bytes(),
+            pos: 0,
+        };
+        p.skip_ws();
+        let v = p.value(0)?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.err("trailing characters after document"));
+        }
+        Ok(v)
+    }
+
+    /// Object member lookup (`None` for non-objects and absent keys).
+    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+        match self {
+            JsonValue::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value as a float, if it is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonValue::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as an unsigned integer, if it is a whole non-negative
+    /// number.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+                Some(*n as u64)
+            }
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice, if it is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as an array slice, if it is an array.
+    pub fn as_arr(&self) -> Option<&[JsonValue]> {
+        match self {
+            JsonValue::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+}
+
+struct Parser<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn err(&self, message: &str) -> JsonParseError {
+        JsonParseError {
+            message: message.to_string(),
+            at: self.pos,
+        }
+    }
+
+    fn skip_ws(&mut self) {
+        while let Some(&b) = self.bytes.get(self.pos) {
+            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+                self.pos += 1;
+            } else {
+                break;
+            }
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), JsonParseError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected {:?}", b as char)))
+        }
+    }
+
+    /// Parses one value nested inside `depth` enclosing containers.
+    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonParseError> {
+        match self.peek() {
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
+            Some(b't') => self.literal("true", JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null", JsonValue::Null),
+            Some(b'-') | Some(b'0'..=b'9') => self.number(),
+            _ => Err(self.err("expected a JSON value")),
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonParseError> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(self.err(&format!("expected `{word}`")))
+        }
+    }
+
+    fn number(&mut self) -> Result<JsonValue, JsonParseError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+        }
+        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
+                self.pos += 1;
+            }
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+        }
+        let text = core::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
+        text.parse::<f64>()
+            .map(JsonValue::Num)
+            .map_err(|_| self.err("malformed number"))
+    }
+
+    fn string(&mut self) -> Result<String, JsonParseError> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match self.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| self.err("truncated \\u escape"))?;
+                            // Exactly four hex digits: no sign, no space.
+                            let code = hex.iter().try_fold(0u32, |acc, &b| {
+                                let digit = (b as char)
+                                    .to_digit(16)
+                                    .ok_or_else(|| self.err("malformed \\u escape"))?;
+                                Ok(acc << 4 | digit)
+                            })?;
+                            // Surrogates never appear in our own output;
+                            // map them to the replacement character.
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            self.pos += 4;
+                        }
+                        _ => return Err(self.err("unknown escape")),
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => {
+                    // Copy the run up to the next quote or backslash in
+                    // one slice: both are ASCII, so the run ends on a
+                    // char boundary of the input `&str`.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
+                }
+            }
+        }
+    }
+
+    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonParseError> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(JsonValue::Arr(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value(depth)?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Arr(items));
+                }
+                _ => return Err(self.err("expected `,` or `]`")),
+            }
+        }
+    }
+
+    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonParseError> {
+        self.expect(b'{')?;
+        let mut members = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(JsonValue::Obj(members));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let value = self.value(depth)?;
+            members.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Obj(members));
+                }
+                _ => return Err(self.err("expected `,` or `}`")),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,5 +374,95 @@ mod tests {
         assert_eq!(json_f64(0.0), "0");
         assert_eq!(json_f64(f64::INFINITY), "null");
         assert_eq!(json_f64(f64::NAN), "null");
+    }
+
+    #[test]
+    fn parses_scalars() {
+        assert_eq!(JsonValue::parse("null").unwrap(), JsonValue::Null);
+        assert_eq!(JsonValue::parse("true").unwrap(), JsonValue::Bool(true));
+        assert_eq!(JsonValue::parse(" -2.5e1 ").unwrap(), JsonValue::Num(-25.0));
+        assert_eq!(
+            JsonValue::parse("\"a\\nb\\u0041\"").unwrap(),
+            JsonValue::Str("a\nbA".into())
+        );
+    }
+
+    #[test]
+    fn parses_nested_structures_in_order() {
+        let v = JsonValue::parse(r#"{"b":[1,2,{"x":null}],"a":{"k":"v"}}"#).unwrap();
+        let JsonValue::Obj(members) = &v else {
+            panic!("object")
+        };
+        assert_eq!(members[0].0, "b");
+        assert_eq!(members[1].0, "a");
+        assert_eq!(v.get("b").unwrap().as_arr().unwrap().len(), 3);
+        assert_eq!(v.get("a").unwrap().get("k").unwrap().as_str(), Some("v"));
+    }
+
+    #[test]
+    fn integer_accessors() {
+        let v = JsonValue::parse("{\"n\":12345,\"f\":1.5,\"neg\":-3}").unwrap();
+        assert_eq!(v.get("n").unwrap().as_u64(), Some(12345));
+        assert_eq!(v.get("f").unwrap().as_u64(), None);
+        assert_eq!(v.get("neg").unwrap().as_u64(), None);
+        assert_eq!(v.get("f").unwrap().as_f64(), Some(1.5));
+    }
+
+    #[test]
+    fn rejects_garbage() {
+        for bad in ["", "{", "[1,]", "{\"a\":}", "1 2", "nul", "\"open"] {
+            assert!(JsonValue::parse(bad).is_err(), "{bad:?} must fail");
+        }
+    }
+
+    #[test]
+    fn roundtrips_emitted_strings() {
+        let encoded = json_str("a\"b\\c\nd\t\u{1}");
+        let parsed = JsonValue::parse(&encoded).unwrap();
+        assert_eq!(parsed.as_str(), Some("a\"b\\c\nd\t\u{1}"));
+    }
+
+    #[test]
+    fn roundtrips_every_escaped_character() {
+        let mut text: String = (0u8..0x20).map(char::from).collect();
+        text.push_str("\"\\/plain\u{7f}é€😀");
+        let parsed = JsonValue::parse(&json_str(&text)).unwrap();
+        assert_eq!(parsed.as_str(), Some(text.as_str()));
+    }
+
+    #[test]
+    fn unicode_escapes_need_exactly_four_hex_digits() {
+        assert_eq!(
+            JsonValue::parse("\"\\u004A\\u004a\"").unwrap().as_str(),
+            Some("JJ")
+        );
+        for bad in [
+            "\"\\u+04a\"",
+            "\"\\u-04a\"",
+            "\"\\u04g1\"",
+            "\"\\u04\"",
+            "\"\\u 04a\"",
+        ] {
+            let err = JsonValue::parse(bad).expect_err(bad);
+            assert!(err.message.contains("\\u escape"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(JsonValue::parse(&objects).is_err());
+        // A million open brackets is an error, not a stack overflow.
+        let err = JsonValue::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
     }
 }

@@ -17,8 +17,10 @@
 //! * [`hist`] — [`Log2Hist`], the power-of-two bucket histogram.
 //! * [`export`] — key-ordered merge of per-component buffers and the
 //!   JSONL / Chrome trace-event (Perfetto-loadable) serializers.
-//! * [`json`] — the dependency-free JSON string/float encoders shared
-//!   with `star_core::report` (which re-exports them).
+//! * [`json`] — the one JSON module: the byte-stable string/float
+//!   encoders shared with `star_core::report` (which re-exports them)
+//!   and the depth-bounded parser ([`json::JsonValue`]) that reads
+//!   baselines and repro files back.
 //!
 //! # Determinism contract
 //!

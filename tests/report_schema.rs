@@ -21,9 +21,9 @@
 //! ```
 
 use star::core::{Instrumented, SchemeKind, SecureMemConfig, SecureMemory, SCHEMA_VERSION};
-use star::prof::JsonValue;
 use star::serve::{run_grid, run_sharded_grid, shard_scenarios, standard_scenarios, ServeConfig};
 use star::shard::{run_shard_grid, ShardSpec};
+use star::trace::json::JsonValue;
 use star::workloads::WorkloadKind;
 
 const GOLDEN_RUN: &str = concat!(
